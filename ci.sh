@@ -81,10 +81,11 @@ else
     # scale curve — campus topologies up to 1011 nodes at shard counts
     # 1/2/4/8 with byte-identical reports asserted per row and the
     # 1011-node 4-shard row gated twice by the budget: counter speedup
-    # (deterministic) and wall-clock speedup (shard-local views + the
-    # persistent pool must beat the single-threaded engine's elapsed
-    # time). (The quick lane runs the same gate with the 103-node smoke
-    # curve at shards 1 and 4, counters only.)
+    # (deterministic) and wall-clock speedup (shard-local views run in
+    # parallel must beat the single-threaded engine's elapsed time; the
+    # median of repeated timings is gated). (The quick lane runs the same
+    # gate with the 103-node smoke curve at shards 1 and 4, counters
+    # only.)
     PERF_JSON="$(mktemp)"
     target/release/bench_sim \
         --budget crates/bench/perf_budget.json --json "$PERF_JSON" >/dev/null
@@ -92,13 +93,13 @@ else
 fi
 
 if [ "${EMPOWER_MIRI:-}" = "1" ]; then
-    # Optional deep lane: run the one threaded module under miri, so the
+    # Optional deep lane: run the one threaded crate under miri, so the
     # static concurrency rules (D007-D010) get a dynamic cross-check.
     # Requires a nightly toolchain with the miri component; skipped (with
     # a notice) when absent so the lane can be enabled fleet-wide.
     if cargo miri --version >/dev/null 2>&1; then
-        say "miri: bench parallel module (EMPOWER_MIRI=1)"
-        cargo miri test -p empower-bench parallel
+        say "miri: empower-exec (EMPOWER_MIRI=1)"
+        cargo miri test -p empower-exec
     else
         say "miri lane requested but the miri toolchain is absent — skipped"
     fi

@@ -27,7 +27,7 @@ pub struct BenchArgs {
     /// Base seed.
     pub seed: u64,
     /// Worker threads for the deterministic parallel sweep runner
-    /// (`parallel::run_indexed`); 1 = serial.
+    /// (`empower_exec::run_indexed`); 1 = serial.
     pub jobs: usize,
     /// Perf-budget file for regression-gate binaries (`bench_routing`).
     pub budget: Option<String>,
@@ -183,5 +183,4 @@ mod tests {
     }
 }
 pub mod harness;
-pub mod parallel;
 pub mod sweep;

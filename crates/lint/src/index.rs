@@ -10,8 +10,8 @@
 //!   file instead of pattern-matching on the bare word;
 //! * **pub items** — every `fn` item with its canonical module path
 //!   (derived from the file's position in the workspace, e.g.
-//!   `crates/bench/src/parallel.rs::run_indexed` →
-//!   `empower_bench::parallel::run_indexed`) and body line span;
+//!   `crates/exec/src/lib.rs::run_indexed` →
+//!   `empower_exec::run_indexed`) and body line span;
 //! * **sanctioned idioms** — items marked in-code with
 //!   `// empower-lint: sanction(D007, D008) — <why>`: the concurrency
 //!   rules exempt the marked item's span and name the item in their
@@ -37,7 +37,7 @@ pub const SANCTIONABLE: [Rule; 4] = [Rule::D007, Rule::D008, Rule::D009, Rule::D
 pub struct PubItem {
     /// The item's own name, e.g. `run_indexed`.
     pub name: String,
-    /// Canonical `::`-joined path, e.g. `empower_bench::parallel::run_indexed`.
+    /// Canonical `::`-joined path, e.g. `empower_exec::run_indexed`.
     pub path: String,
     /// Repo-relative file the item lives in.
     pub file: String,
@@ -57,7 +57,7 @@ pub struct Sanction {
     pub rules: Vec<Rule>,
     /// Repo-relative file of the item.
     pub file: String,
-    /// Canonical path of the item, e.g. `empower_bench::parallel::run_indexed`.
+    /// Canonical path of the item, e.g. `empower_exec::run_indexed`.
     pub item: String,
     /// Inclusive line span the sanction covers: pragma line through the
     /// item's closing brace.
@@ -188,8 +188,8 @@ pub(crate) fn comment_block_end(lexed: &Lexed, line: u32) -> u32 {
     end
 }
 
-/// Canonical module path of a file: `crates/bench/src/parallel.rs` →
-/// `["empower_bench", "parallel"]`. Crate roots (`lib.rs`, `main.rs`,
+/// Canonical module path of a file: `crates/bench/src/sweep.rs` →
+/// `["empower_bench", "sweep"]`. Crate roots (`lib.rs`, `main.rs`,
 /// `src/bin/*.rs`) and `mod.rs` fold into their parent.
 pub(crate) fn module_path(ctx: &FileContext) -> Vec<String> {
     let mut segs = vec![ctx.crate_name.replace('-', "_")];

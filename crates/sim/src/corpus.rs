@@ -105,8 +105,7 @@ impl_sim_engine!(crate::sharded::ShardedSimulation);
 
 /// [`crate::sharded::ShardedSimulation`] pinned to `N` shards at the type
 /// level, so determinism gates can sweep shard counts through the generic
-/// corpus runner without touching the process-global `EMPOWER_SIM_SHARDS`
-/// knob (env mutation would race across concurrently running tests).
+/// corpus runner (whose `build` has no shard-count argument).
 pub struct ShardedN<const N: u32>(pub crate::sharded::ShardedSimulation);
 
 impl<const N: u32> SimEngine for ShardedN<N> {

@@ -3,9 +3,9 @@
 //!
 //! [`ShardedSimulation`] partitions the network's links into *atoms* —
 //! closed groups under the coupling rules R1–R4 of
-//! [`empower_model::shard`] — packs atoms onto up to
-//! `EMPOWER_SIM_SHARDS` shards, and runs one [`Simulation`] per shard on
-//! the persistent worker pool (`crate::pool`, knob `EMPOWER_SIM_POOL`).
+//! [`empower_model::shard`] — packs atoms onto up to `N` shards (4 unless
+//! [`ShardedSimulation::with_shards`] says otherwise), and runs one
+//! [`Simulation`] per shard through [`empower_exec::run_indexed`].
 //! Because no flow, interference domain, broadcast group or fault ever
 //! crosses an atom boundary, the conservative lookahead is *degenerate*:
 //! shards never exchange events at all, and each shard's execution of its
@@ -46,9 +46,9 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use empower_datapath::{IfaceId, IfaceRegistry, SourceRoute};
+use empower_exec::run_indexed;
 use empower_model::shard::{extract_view, plan_shards, CouplingSpec, ShardPlan, ShardView};
 use empower_model::{InterferenceMap, LinkId, Network, NodeId, Path};
 use empower_telemetry::{CounterSnapshot, CounterType, Telemetry};
@@ -57,7 +57,6 @@ use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::flow::FlowSpecSim;
 use crate::perf::SimPerfStats;
-use crate::pool::{run_shard_batch, ShardArena};
 use crate::stats::{FlowStats, SimReport};
 use crate::trace::Trace;
 
@@ -70,10 +69,9 @@ enum Op {
     RunUntil { until: f64 },
 }
 
-/// One op rewritten for a specific worker. Flow references carry their
-/// *global* ids so the worker can seed RNG streams and name counters
-/// exactly as the single-threaded engine does; link/node ids start
-/// global and are localized against the worker's view before replay.
+/// One op of a worker's replay list, localized against its view. Flow
+/// references carry their *global* ids so the worker can seed RNG
+/// streams and name counters exactly as the single-threaded engine does.
 enum WorkerOp {
     AddFlow { gid: usize, spec: FlowSpecSim },
     LinkChange { at: f64, link: LinkId, capacity_mbps: f64 },
@@ -99,21 +97,14 @@ struct Exec {
     shards_used: usize,
 }
 
-/// Reads the shard count from `EMPOWER_SIM_SHARDS` (default 4).
-fn env_shards() -> u32 {
-    std::env::var("EMPOWER_SIM_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
-}
-
 /// The sharded engine. API-compatible with [`Simulation`] (both implement
 /// the corpus `SimEngine` trait); see the module docs for semantics.
 pub struct ShardedSimulation {
     /// The pristine pre-run network. [`ShardedSimulation::network`]
     /// returns this — mid-run capacity mutations live inside the worker
     /// engines (callers needing mutated state inspect reports instead).
-    /// `Arc`: shared read-only with pool workers, which extract their
-    /// views from it without cloning the graph.
-    net: Arc<Network>,
-    imap: Arc<InterferenceMap>,
+    net: Network,
+    imap: InterferenceMap,
     reg: IfaceRegistry,
     cfg: SimConfig,
     shards: u32,
@@ -127,10 +118,9 @@ pub struct ShardedSimulation {
 }
 
 impl ShardedSimulation {
-    /// Creates a sharded simulation with the shard count taken from
-    /// `EMPOWER_SIM_SHARDS` (default 4).
+    /// Creates a sharded simulation with 4 shards.
     pub fn new(net: Network, imap: InterferenceMap, cfg: SimConfig) -> Self {
-        Self::with_shards(net, imap, cfg, env_shards())
+        Self::with_shards(net, imap, cfg, 4)
     }
 
     /// Creates a sharded simulation with an explicit shard count.
@@ -138,8 +128,8 @@ impl ShardedSimulation {
         let reg = IfaceRegistry::for_network(&net);
         ShardedSimulation {
             reg,
-            net: Arc::new(net),
-            imap: Arc::new(imap),
+            net,
+            imap,
             cfg,
             shards: shards.max(1),
             ops: Vec::new(),
@@ -381,73 +371,20 @@ impl ShardedSimulation {
             }
         }
 
-        // Rewrite the op log into one replay list per used shard: every
-        // shard sees its own ops (with global flow ids attached) plus all
-        // time advances, in original log order.
-        let mut worker_ops: Vec<Vec<WorkerOp>> = used.iter().map(|_| Vec::new()).collect();
-        let pos_of = |s: u32| used.iter().position(|&u| u == s);
-        let mut next_flow = 0usize;
-        for (i, op) in self.ops.iter().enumerate() {
-            let owned = |worker_ops: &mut Vec<Vec<WorkerOp>>, wop: WorkerOp| {
-                let Some(p) = pos_of(op_owner[i]) else {
-                    unreachable!("owner of an op is always a used shard")
-                };
-                worker_ops[p].push(wop);
-            };
-            match op {
-                Op::AddFlow(spec) => {
-                    let gid = next_flow;
-                    next_flow += 1;
-                    owned(&mut worker_ops, WorkerOp::AddFlow { gid, spec: spec.clone() });
-                }
-                Op::LinkChange { at, link, capacity_mbps } => owned(
-                    &mut worker_ops,
-                    WorkerOp::LinkChange { at: *at, link: *link, capacity_mbps: *capacity_mbps },
-                ),
-                Op::NodeChange { at, node, up } => {
-                    owned(&mut worker_ops, WorkerOp::NodeChange { at: *at, node: *node, up: *up })
-                }
-                Op::ReplaceRoutes { flow, routes } => owned(
-                    &mut worker_ops,
-                    WorkerOp::ReplaceRoutes { gid: *flow, routes: routes.clone() },
-                ),
-                Op::RunUntil { until } => {
-                    for list in worker_ops.iter_mut() {
-                        list.push(WorkerOp::RunUntil { until: *until });
-                    }
-                }
-            }
-        }
-
         let instrument = self.tele.is_enabled();
-        let trace_on = self.trace_cap.is_some();
-        let plan = Arc::new(plan);
-        let active_atom = Arc::new(active_atom);
-
-        let mut jobs = Vec::with_capacity(used.len());
-        for (w, &s) in used.iter().enumerate() {
-            let net = Arc::clone(&self.net);
-            let imap = Arc::clone(&self.imap);
-            let plan = Arc::clone(&plan);
-            let active_atom = Arc::clone(&active_atom);
-            let cfg = self.cfg.clone();
-            let ops = std::mem::take(&mut worker_ops[w]);
-            jobs.push(move |arena: &mut ShardArena| {
-                run_worker(
-                    &net,
-                    &imap,
-                    &plan,
-                    s,
-                    &active_atom,
-                    cfg,
-                    ops,
-                    instrument,
-                    trace_on,
-                    arena,
-                )
-            });
-        }
-        let results: Vec<WorkerOut> = run_shard_batch(jobs);
+        let replay = Replay {
+            net: &self.net,
+            imap: &self.imap,
+            plan: &plan,
+            active_atom: &active_atom,
+            cfg: &self.cfg,
+            ops: &self.ops,
+            op_owner: &op_owner,
+            instrument,
+            trace_on: self.trace_cap.is_some(),
+        };
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let results: Vec<WorkerOut> = run_indexed(threads, used.len(), |w| replay.run(used[w]));
 
         // Per-flow stats: each worker reports exactly its own flows in
         // ascending global order, so a per-shard cursor walk reassembles
@@ -574,101 +511,115 @@ impl ShardedSimulation {
     }
 }
 
-/// One shard's run: extract the view, localize the replay list, drive a
-/// [`Simulation`] over the subnetwork, and return globally-addressed
-/// results. Runs on a pool worker thread; `arena` persists across runs.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    net: &Network,
-    imap: &InterferenceMap,
-    plan: &ShardPlan,
-    shard: u32,
-    active_atom: &[bool],
-    cfg: SimConfig,
-    ops: Vec<WorkerOp>,
+/// Everything a shard worker reads, borrowed from the simulation and
+/// shared read-only by every worker of one execution.
+struct Replay<'a> {
+    net: &'a Network,
+    imap: &'a InterferenceMap,
+    plan: &'a ShardPlan,
+    active_atom: &'a [bool],
+    cfg: &'a SimConfig,
+    ops: &'a [Op],
+    /// Owner shard of each op (aligned with `ops`).
+    op_owner: &'a [u32],
     instrument: bool,
     trace_on: bool,
-    arena: &mut ShardArena,
-) -> WorkerOut {
-    let view = extract_view(net, imap, plan, shard, active_atom, &mut arena.view_scratch);
+}
 
-    // Localize the whole replay list up front. Owned flows and faults
-    // always fit the view by construction (their atoms are active and
-    // packed here); the one legitimate miss is a NodeChange on a node
-    // with no links in any active atom, which has no observable effect
-    // and is skipped outright.
-    let mut local: Vec<WorkerOp> = Vec::with_capacity(ops.len());
-    for op in ops {
-        match op {
-            WorkerOp::AddFlow { gid, mut spec } => {
-                let Some(src) = view.local_node(spec.src) else {
-                    unreachable!("owned flow's source is outside its shard view")
-                };
-                let Some(dst) = view.local_node(spec.dst) else {
-                    unreachable!("owned flow's destination is outside its shard view")
-                };
-                spec.src = src;
-                spec.dst = dst;
-                spec.routes = localize_routes(&view, &spec.routes);
-                local.push(WorkerOp::AddFlow { gid, spec });
+impl Replay<'_> {
+    /// One shard's run: extract the view, localize the shard's slice of
+    /// the op log (its own ops plus every time advance, in log order),
+    /// drive a [`Simulation`] over the subnetwork, and return
+    /// globally-addressed results.
+    fn run(&self, shard: u32) -> WorkerOut {
+        let view = extract_view(self.net, self.imap, self.plan, shard, self.active_atom);
+
+        // Owned flows and faults always fit the view by construction
+        // (their atoms are active and packed here); the one legitimate
+        // miss is a NodeChange on a node with no links in any active
+        // atom, which has no observable effect and is skipped outright.
+        let mut local: Vec<WorkerOp> = Vec::new();
+        let mut next_gid = 0usize;
+        for (op, &owner) in self.ops.iter().zip(self.op_owner) {
+            let gid = next_gid;
+            if matches!(op, Op::AddFlow(_)) {
+                next_gid += 1;
             }
-            WorkerOp::LinkChange { at, link, capacity_mbps } => {
-                let Some(l) = view.local_link(link) else {
-                    unreachable!("owned link fault is outside its shard view")
-                };
-                local.push(WorkerOp::LinkChange { at, link: l, capacity_mbps });
+            if owner != shard && !matches!(op, Op::RunUntil { .. }) {
+                continue;
             }
-            WorkerOp::NodeChange { at, node, up } => {
-                if let Some(n) = view.local_node(node) {
-                    local.push(WorkerOp::NodeChange { at, node: n, up });
+            match op {
+                Op::AddFlow(spec) => {
+                    let Some(src) = view.local_node(spec.src) else {
+                        unreachable!("owned flow's source is outside its shard view")
+                    };
+                    let Some(dst) = view.local_node(spec.dst) else {
+                        unreachable!("owned flow's destination is outside its shard view")
+                    };
+                    let mut spec = spec.clone();
+                    spec.src = src;
+                    spec.dst = dst;
+                    spec.routes = localize_routes(&view, &spec.routes);
+                    local.push(WorkerOp::AddFlow { gid, spec });
                 }
+                &Op::LinkChange { at, link, capacity_mbps } => {
+                    let Some(link) = view.local_link(link) else {
+                        unreachable!("owned link fault is outside its shard view")
+                    };
+                    local.push(WorkerOp::LinkChange { at, link, capacity_mbps });
+                }
+                &Op::NodeChange { at, node, up } => {
+                    if let Some(node) = view.local_node(node) {
+                        local.push(WorkerOp::NodeChange { at, node, up });
+                    }
+                }
+                Op::ReplaceRoutes { flow, routes } => local.push(WorkerOp::ReplaceRoutes {
+                    gid: *flow,
+                    routes: localize_routes(&view, routes),
+                }),
+                &Op::RunUntil { until } => local.push(WorkerOp::RunUntil { until }),
             }
-            WorkerOp::ReplaceRoutes { gid, routes } => {
-                local
-                    .push(WorkerOp::ReplaceRoutes { gid, routes: localize_routes(&view, &routes) });
-            }
-            WorkerOp::RunUntil { until } => local.push(WorkerOp::RunUntil { until }),
         }
-    }
 
-    let link_gids: Vec<u32> = view.link_to_global.iter().map(|l| l.0).collect();
-    let ShardView { net: vnet, imap: vimap, .. } = view;
-    let mut sim = Simulation::with_global_link_ids(vnet, vimap, cfg, link_gids);
-    if instrument {
-        sim.attach_telemetry(Telemetry::enabled());
-    }
-    if trace_on {
-        sim.attach_trace(Trace::new());
-    }
-
-    // Owned flows arrive in ascending global-id order, so the local
-    // index of gid `g` is its rank in this list.
-    let mut owned_gids: Vec<usize> = Vec::new();
-    for op in local {
-        match op {
-            WorkerOp::AddFlow { gid, spec } => {
-                owned_gids.push(gid);
-                sim.add_flow_global(spec, gid);
-            }
-            WorkerOp::LinkChange { at, link, capacity_mbps } => {
-                sim.schedule_link_change(at, link, capacity_mbps);
-            }
-            WorkerOp::NodeChange { at, node, up } => sim.schedule_node_change(at, node, up),
-            WorkerOp::ReplaceRoutes { gid, routes } => {
-                let Ok(f) = owned_gids.binary_search(&gid) else {
-                    unreachable!("replace_routes routed to a shard that does not own the flow")
-                };
-                sim.replace_routes(f, routes);
-            }
-            WorkerOp::RunUntil { until } => sim.run_until(until),
+        let link_gids: Vec<u32> = view.link_to_global.iter().map(|l| l.0).collect();
+        let ShardView { net: vnet, imap: vimap, .. } = view;
+        let mut sim = Simulation::with_global_link_ids(vnet, vimap, self.cfg.clone(), link_gids);
+        if self.instrument {
+            sim.attach_telemetry(Telemetry::enabled());
         }
-    }
+        if self.trace_on {
+            sim.attach_trace(Trace::new());
+        }
 
-    let flows = sim.report(0.0).flows;
-    let snap = sim.telemetry().snapshot();
-    let trace = sim.take_trace();
-    let perf = sim.perf_stats();
-    (flows, snap, trace, perf)
+        // Owned flows arrive in ascending global-id order, so the local
+        // index of gid `g` is its rank in this list.
+        let mut owned_gids: Vec<usize> = Vec::new();
+        for op in local {
+            match op {
+                WorkerOp::AddFlow { gid, spec } => {
+                    owned_gids.push(gid);
+                    sim.add_flow_global(spec, gid);
+                }
+                WorkerOp::LinkChange { at, link, capacity_mbps } => {
+                    sim.schedule_link_change(at, link, capacity_mbps);
+                }
+                WorkerOp::NodeChange { at, node, up } => sim.schedule_node_change(at, node, up),
+                WorkerOp::ReplaceRoutes { gid, routes } => {
+                    let Ok(f) = owned_gids.binary_search(&gid) else {
+                        unreachable!("replace_routes routed to a shard that does not own the flow")
+                    };
+                    sim.replace_routes(f, routes);
+                }
+                WorkerOp::RunUntil { until } => sim.run_until(until),
+            }
+        }
+
+        let flows = sim.report(0.0).flows;
+        let snap = sim.telemetry().snapshot();
+        let trace = sim.take_trace();
+        let perf = sim.perf_stats();
+        (flows, snap, trace, perf)
+    }
 }
 
 /// Rewrites a set of global-id routes into view-local ids. Every route
@@ -817,38 +768,6 @@ mod tests {
             sharded <= serial + (workers - 1) * 60,
             "sharded dispatched {sharded} events vs serial {serial} (+{workers} workers)"
         );
-    }
-
-    /// `ShardedSimulation::new` honors `EMPOWER_SIM_SHARDS` — and the
-    /// output stays byte-identical to an explicit shard count, because
-    /// the knob may only change *how* the work is split, never the
-    /// result. No other test in this binary constructs via `new`, so
-    /// the env write cannot race a concurrent read.
-    #[test]
-    fn env_knob_sets_default_shard_count() {
-        let (net, imap, specs) = campus_setup();
-        std::env::set_var("EMPOWER_SIM_SHARDS", "2");
-        let mut sim = ShardedSimulation::new(net, imap, SimConfig::default());
-        std::env::remove_var("EMPOWER_SIM_SHARDS");
-        for s in specs {
-            sim.add_flow(s);
-        }
-        sim.run_until(5.0);
-        assert_eq!(format!("{:?}", sim.report(5.0)), run_sharded(2).0);
-        assert_eq!(sim.shards_used(), 2, "EMPOWER_SIM_SHARDS=2 should pin two shards");
-    }
-
-    /// `EMPOWER_SIM_POOL=0` runs shard jobs inline on the caller thread;
-    /// the bytes must match the pooled default exactly (a concurrent
-    /// test observing the knob mid-write would only switch *mode*, never
-    /// output, so the env race here is benign).
-    #[test]
-    fn pool_off_matches_pooled() {
-        let pooled = run_sharded(4);
-        std::env::set_var("EMPOWER_SIM_POOL", "0");
-        let inline = run_sharded(4);
-        std::env::remove_var("EMPOWER_SIM_POOL");
-        assert_eq!(pooled, inline);
     }
 
     #[test]

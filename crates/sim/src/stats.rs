@@ -18,7 +18,9 @@ pub struct FlowStats {
     /// Injected rate per route, sampled once per second, Mbps
     /// (`rate_series[route][second]`).
     pub rate_series: Vec<Vec<f64>>,
-    /// Completion times of finished file downloads, seconds (absolute).
+    /// Durations of finished downloads, seconds, in completion order:
+    /// per file, from the file's start to its last in-order frame; for a
+    /// TCP transfer, from the flow's start to the final ack.
     pub completions: Vec<f64>,
     /// When the flow started generating traffic.
     pub started_at: f64,
@@ -59,8 +61,7 @@ impl FlowStats {
         var.sqrt()
     }
 
-    /// Download duration of the `i`-th completed file, seconds (relative to
-    /// flow/file start bookkeeping done by the engine).
+    /// Number of finished downloads (entries of `completions`).
     pub fn completion_count(&self) -> usize {
         self.completions.len()
     }

@@ -7,8 +7,8 @@
 //! * versus the single-threaded engine on the full corpus and on a
 //!   generated 1000+-node campus.
 //!
-//! A violation means a scale experiment rerun with a different
-//! `EMPOWER_SIM_SHARDS` (or on a box with a different core count) would
+//! A violation means a scale experiment rerun with a different shard
+//! count (or on a box with a different core count) would
 //! silently change its figures — the exact bug class the deterministic
 //! merge rules exist to rule out.
 //!
