@@ -1,8 +1,8 @@
 #![forbid(unsafe_code)]
-//! Perf harness for the PR-5 zero-allocation simulator hot path: the
-//! timer-wheel + bitset-MAC + packet-slab [`Simulation`] vs the retained
-//! pre-optimization [`ReferenceSimulation`] on the pinned equivalence
-//! corpus (`empower_sim::corpus`).
+//! Perf harness for the zero-allocation simulator hot path: the
+//! sparse-row bitset-MAC + packet-slab [`Simulation`] vs the retained
+//! pre-optimization [`ReferenceSimulation`] (both on the same binary-heap
+//! event queue) on the pinned equivalence corpus (`empower_sim::corpus`).
 //!
 //! Asserts byte-identical reports, traces and telemetry manifests on every
 //! corpus scenario, reports deterministic work counters for both engines

@@ -274,13 +274,18 @@ impl BroadcastPlan {
     pub fn new(net: &Network, states: &[LinkPriceState]) -> Self {
         // Reproduce the layout make_broadcasts_into generates: per state,
         // one entry per distinct egress medium, in first-seen order.
-        let mut layout: Vec<(NodeId, Medium)> = Vec::new();
+        // `by_node[n]` lists node `n`'s entries as (medium, layout index),
+        // so building a row costs its overhearing set, not the layout.
+        let mut by_node: Vec<Vec<(Medium, u32)>> = vec![Vec::new(); net.node_count()];
+        let mut len = 0u32;
         for s in states {
-            let start = layout.len();
+            let entries = &mut by_node[s.node.index()];
+            let start = entries.len();
             for &l in &s.egress {
                 let medium = net.link(l).medium;
-                if !layout[start..].iter().any(|&(_, m)| m == medium) {
-                    layout.push((s.node, medium));
+                if !entries[start..].iter().any(|&(m, _)| m == medium) {
+                    entries.push((medium, len));
+                    len += 1;
                 }
             }
         }
@@ -290,12 +295,17 @@ impl BroadcastPlan {
                 s.overheard
                     .iter()
                     .map(|(nodes, _)| {
-                        layout
+                        let mut row: Vec<u32> = nodes
                             .iter()
-                            .enumerate()
-                            .filter(|(_, nm)| nodes.contains(nm))
-                            .map(|(i, _)| i as u32)
-                            .collect()
+                            .flat_map(|&(n, m)| {
+                                by_node[n.index()]
+                                    .iter()
+                                    .filter(move |&&(em, _)| em == m)
+                                    .map(|&(_, i)| i)
+                            })
+                            .collect();
+                        row.sort_unstable();
+                        row
                     })
                     .collect()
             })
@@ -306,7 +316,7 @@ impl BroadcastPlan {
                 egress_pos[l.index()] = pos as u32;
             }
         }
-        BroadcastPlan { indices, egress_pos, len: layout.len() }
+        BroadcastPlan { indices, egress_pos, len: len as usize }
     }
 
     /// Planned, allocation-free equivalent of calling
@@ -567,6 +577,84 @@ mod tests {
                     "slot {slot} link {l}: {direct} vs {fast}"
                 );
             }
+        }
+    }
+
+    /// The pre-linear `BroadcastPlan::new`: every overhearing set filters
+    /// the whole broadcast layout. Kept as the oracle for the per-node
+    /// lookup that replaced it.
+    fn plan_by_layout_scan(net: &Network, states: &[LinkPriceState]) -> BroadcastPlan {
+        let mut layout: Vec<(NodeId, Medium)> = Vec::new();
+        for s in states {
+            let start = layout.len();
+            for &l in &s.egress {
+                let medium = net.link(l).medium;
+                if !layout[start..].iter().any(|&(_, m)| m == medium) {
+                    layout.push((s.node, medium));
+                }
+            }
+        }
+        let indices = states
+            .iter()
+            .map(|s| {
+                s.overheard
+                    .iter()
+                    .map(|(nodes, _)| {
+                        layout
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, nm)| nodes.contains(nm))
+                            .map(|(i, _)| i as u32)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut egress_pos = vec![0u32; net.link_count()];
+        for s in states {
+            for (pos, &l) in s.egress.iter().enumerate() {
+                egress_pos[l.index()] = pos as u32;
+            }
+        }
+        BroadcastPlan { indices, egress_pos, len: layout.len() }
+    }
+
+    #[test]
+    fn linear_plan_matches_layout_scan() {
+        use empower_model::rng::{SeedableRng, StdRng};
+        use empower_model::shard::{extract_view, plan_shards, CouplingSpec};
+        use empower_model::topology::campus::{campus, CampusConfig};
+        use empower_model::topology::random::residential;
+        use empower_model::topology::testbed22;
+        use empower_model::CarrierSense;
+
+        let testbed = testbed22(3).net;
+        let home = residential(&mut StdRng::seed_from_u64(11)).net;
+        let campus_net = campus(&mut StdRng::seed_from_u64(42), &CampusConfig::new(2, 5, 9)).net;
+        assert_eq!(campus_net.node_count(), 103);
+        let campus_imap = CarrierSense::default().build_map(&campus_net);
+        let mut cases: Vec<(String, Network, InterferenceMap)> = vec![
+            ("testbed22".into(), testbed.clone(), CarrierSense::default().build_map(&testbed)),
+            ("residential".into(), home.clone(), CarrierSense::default().build_map(&home)),
+            ("campus103".into(), campus_net.clone(), campus_imap.clone()),
+        ];
+        // The 4-shard views: restricted maps over dense local ids.
+        let plan = plan_shards(&campus_net, &campus_imap, &CouplingSpec::default(), 4);
+        let active = vec![true; plan.atom_count as usize];
+        for shard in 0..plan.shards {
+            let v = extract_view(&campus_net, &campus_imap, &plan, shard, &active);
+            cases.push((format!("campus103 shard {shard}/4"), v.net, v.imap));
+        }
+        assert_eq!(cases.len(), 7, "the campus must split across all four shards");
+        for (name, net, imap) in &cases {
+            let states: Vec<LinkPriceState> =
+                net.nodes().iter().map(|n| LinkPriceState::new(net, imap, n.id)).collect();
+            let fast = BroadcastPlan::new(net, &states);
+            let scan = plan_by_layout_scan(net, &states);
+            assert!(scan.len > 0, "{name}: empty broadcast layout");
+            assert_eq!(fast.indices, scan.indices, "{name}: indices");
+            assert_eq!(fast.egress_pos, scan.egress_pos, "{name}: egress_pos");
+            assert_eq!(fast.len, scan.len, "{name}: len");
         }
     }
 

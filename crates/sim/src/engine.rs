@@ -1,9 +1,11 @@
 //! The discrete-event engine: MAC, forwarding, control plane, applications.
 //!
 //! This is the optimized, allocation-free-in-steady-state engine: events
-//! live in a timer wheel ([`crate::event::EventQueue`]), MAC contention is
-//! decided by word-level AND of interference-domain bitsets against a busy
-//! bitmask, packets are pooled in a free-list slab ([`PacketSlab`]) and
+//! live in a `(time, seq)` binary heap ([`crate::event::EventQueue`]), MAC
+//! contention is decided by word-level AND of the non-zero words of each
+//! interference-domain bitset row against a busy bitmask (so a MAC scan
+//! costs per word holding a domain member, not per 64 links of the
+//! network), packets are pooled in a free-list slab ([`PacketSlab`]) and
 //! referenced by 4-byte [`PacketId`] handles, and every per-frame/per-tick
 //! scratch vector is reused across calls. Results are bit-identical to
 //! [`crate::ReferenceSimulation`] (the retained pre-optimization engine),
@@ -44,6 +46,37 @@ fn set_bit(words: &mut [u64], i: usize) {
 #[inline]
 fn clear_bit(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1u64 << (i % 64));
+}
+
+/// The non-zero words of every interference row, CSR-packed: row `l` is
+/// `words[offsets[l]..offsets[l + 1]]`, `(word index, word)` pairs in
+/// ascending word order. A MAC scan then costs one probe per word that
+/// holds a domain member instead of one per 64 links of the network.
+struct SparseRows {
+    offsets: Vec<u32>,
+    words: Vec<(u32, u64)>,
+}
+
+impl SparseRows {
+    fn new(imap: &InterferenceMap) -> Self {
+        let mut offsets = Vec::with_capacity(imap.link_count() + 1);
+        let mut words = Vec::new();
+        offsets.push(0);
+        for l in 0..imap.link_count() {
+            let row = imap.domain_words(LinkId(l as u32));
+            words.extend(
+                row.iter().enumerate().filter(|(_, &w)| w != 0).map(|(wi, &w)| (wi as u32, w)),
+            );
+            offsets.push(words.len() as u32);
+        }
+        SparseRows { offsets, words }
+    }
+
+    #[inline]
+    fn row(&self, link: LinkId) -> &[(u32, u64)] {
+        let l = link.index();
+        &self.words[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+    }
 }
 
 /// One flow's live state inside the engine.
@@ -103,6 +136,8 @@ pub(crate) const STREAM_LINK: u64 = 0x4c49_4e4b; // "LINK"
 pub struct Simulation {
     net: Network,
     imap: InterferenceMap,
+    /// `imap`'s rows without their zero words, for `can_start`/`tx_end`.
+    domain_rows: SparseRows,
     reg: IfaceRegistry,
     cfg: SimConfig,
     /// Per-flow random streams (traffic draws: scheduler token choice,
@@ -233,6 +268,7 @@ impl Simulation {
             }
         }
         Simulation {
+            domain_rows: SparseRows::new(&imap),
             reg,
             slab: PacketSlab::new(),
             dp_pool: PktPool::new(),
@@ -834,14 +870,14 @@ impl Simulation {
         if self.busy[l].is_some() || self.queues[l].is_empty() || !self.net.link(link).is_alive() {
             return false;
         }
-        // Word-level domain-occupancy test: one AND per 64 links, early
-        // exit on the first busy hit. One probe per word examined.
-        let words = self.imap.domain_words(link);
+        // Word-level domain-occupancy test over the row's non-zero words:
+        // one AND per word holding a domain member, early exit on the
+        // first busy hit. One probe per word examined.
         let mut probes = 0u64;
         let mut clear = true;
-        for (wi, &d) in words.iter().enumerate() {
+        for &(wi, d) in self.domain_rows.row(link) {
             probes += 1;
-            if d & self.busy_words[wi] != 0 {
+            if d & self.busy_words[wi as usize] != 0 {
                 clear = false;
                 break;
             }
@@ -933,16 +969,13 @@ impl Simulation {
         // deferral counts match the reference exactly.
         let mut cands = std::mem::take(&mut self.scratch_links);
         cands.clear();
-        {
-            let words = self.imap.domain_words(link);
-            for (wi, &d) in words.iter().enumerate() {
-                let mut m =
-                    d & self.backlog_words[wi] & self.alive_words[wi] & !self.busy_words[wi];
-                while m != 0 {
-                    let bit = m.trailing_zeros() as usize;
-                    cands.push(LinkId((wi * 64 + bit) as u32));
-                    m &= m - 1;
-                }
+        for &(wi, d) in self.domain_rows.row(link) {
+            let wi = wi as usize;
+            let mut m = d & self.backlog_words[wi] & self.alive_words[wi] & !self.busy_words[wi];
+            while m != 0 {
+                let bit = m.trailing_zeros() as usize;
+                cands.push(LinkId((wi * 64 + bit) as u32));
+                m &= m - 1;
             }
         }
         self.perf.bytes_not_allocated += std::mem::size_of_val(self.imap.domain(link)) as u64;
@@ -1623,6 +1656,44 @@ mod tests {
         let route2 = Path::new(&s.net, vec![s.wifi_ab, s.wifi_bc]).unwrap();
         let sim = Simulation::new(s.net, imap, SimConfig::default());
         (sim, vec![route1, route2])
+    }
+
+    /// Every sparse MAC row is exactly the non-zero words of the dense
+    /// `domain_words` row, in ascending word order, under both
+    /// interference models; the campus rows must actually drop zero words.
+    #[test]
+    fn sparse_rows_are_the_nonzero_domain_words() {
+        use empower_model::rng::{SeedableRng, StdRng};
+        use empower_model::topology::campus::{campus, CampusConfig};
+        use empower_model::topology::testbed22;
+        use empower_model::CarrierSense;
+
+        let nets = [
+            testbed22(3).net,
+            campus(&mut StdRng::seed_from_u64(42), &CampusConfig::new(2, 5, 9)).net,
+        ];
+        let models: [&dyn InterferenceModel; 2] = [&CarrierSense::default(), &SharedMedium];
+        let mut skipped = 0;
+        for net in &nets {
+            for model in models {
+                let imap = InterferenceMap::build(net, model);
+                let rows = SparseRows::new(&imap);
+                for l in 0..imap.link_count() {
+                    let link = LinkId(l as u32);
+                    let dense = imap.domain_words(link);
+                    let expect: Vec<(u32, u64)> = dense
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &w)| w != 0)
+                        .map(|(wi, &w)| (wi as u32, w))
+                        .collect();
+                    assert_eq!(rows.row(link), &expect[..], "link {l}");
+                    assert!(rows.row(link).windows(2).all(|p| p[0].0 < p[1].0));
+                    skipped += dense.len() - expect.len();
+                }
+            }
+        }
+        assert!(skipped > 0, "no row had a zero word to skip");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod trace;
 
 pub use config::SimConfig;
 pub use engine::{SimInspector, Simulation};
-pub use event::{Event, EventQueue, ReferenceEventQueue};
+pub use event::{Event, EventQueue};
 pub use flow::{FlowSpecSim, TrafficPattern};
 pub use packet::{PacketId, PacketSlab, SimPacket};
 pub use perf::SimPerfStats;

@@ -1,8 +1,8 @@
 //! The retained pre-optimization engine: a verbatim copy of the
 //! simulator as it stood before the zero-allocation hot-path rework
-//! (binary-heap event queue, per-frame `domain(link)` slice scans and
-//! `.to_vec()` clones, by-value `SimPacket` queues, per-tick scratch
-//! allocations).
+//! (per-frame `domain(link)` slice scans and `.to_vec()` clones, by-value
+//! `SimPacket` queues, per-tick scratch allocations). Its binary-heap
+//! event queue is the same [`crate::EventQueue`] the optimized engine uses.
 //!
 //! [`ReferenceSimulation`] is the correctness oracle for
 //! [`crate::Simulation`]: the equivalence corpus
@@ -37,7 +37,7 @@ use empower_model::{InterferenceMap, LinkId, Network, NodeId};
 use empower_telemetry::{Counter, Telemetry};
 
 use crate::config::SimConfig;
-use crate::event::{Event, ReferenceEventQueue};
+use crate::event::{Event, EventQueue};
 use crate::flow::{FlowSpecSim, TrafficPattern};
 use crate::metrics::EngineCounters;
 use crate::packet::{PacketKind, SimPacket};
@@ -105,7 +105,7 @@ pub struct ReferenceSimulation {
     flow_rngs: Vec<StdRng>,
     /// Per-link random streams (estimation noise).
     link_rngs: Vec<StdRng>,
-    events: ReferenceEventQueue,
+    events: EventQueue,
     now: f64,
     /// Per-link FIFO queues.
     queues: Vec<VecDeque<SimPacket>>,
@@ -168,7 +168,7 @@ impl ReferenceSimulation {
             trace: None,
             etel: EngineCounters::disabled(l),
             perf: SimPerfStats::default(),
-            events: ReferenceEventQueue::new(),
+            events: EventQueue::new(),
             now: 0.0,
             net,
             imap,
